@@ -19,15 +19,15 @@ let check_shape what lt elems =
    The loops run over the raw Bigarray storage
    ({!Host_buffer.data}): operand shapes were validated by [mmad], so
    bounds checks are dropped and the accumulator-dtype rounding is
-   hoisted out of the loop — as a direct {!Dtype.round_f32} call on
-   the hot fp32-accumulator path, as a {!Dtype.rounder} closure
-   otherwise. The accumulation order (raw double adds, one rounding on
-   store) is that of the historical scalar get/set loops. *)
+   inlined — [mmad] admits only F32 and I32 accumulators, so every
+   evaluator has an F32 and an I32 arm ([round_acc], the dtype test
+   hoisted out of the loop) and no store calls across modules. The
+   accumulation order (raw double adds, one rounding on store) is that
+   of the historical scalar get/set loops. *)
 
 module BA1 = Bigarray.Array1
 
 let raw lt = Host_buffer.data (Local_tensor.buffer lt)
-let acc_rounder lt = Dtype.rounder (Local_tensor.dtype lt)
 
 (* F32 rounding through a one-element float32 Bigarray: the store/load
    pair compiles to inline single-precision conversion instructions,
@@ -41,17 +41,28 @@ type f32cell = (float, Bigarray.float32_elt, Bigarray.c_layout) BA1.t
 let f32scratch () : f32cell = BA1.create Bigarray.float32 Bigarray.c_layout 1
 
 let[@inline] round_f32 (tmp : f32cell) f =
-  (* NaN payloads pass through untouched, as [Dtype.round_f32] (the
-     [acc_rounder] arms) does — the cell roundtrip would quiet them. *)
+  (* NaN payloads pass through untouched, as [Dtype.round_f32] does —
+     the cell roundtrip would quiet them. *)
   if Float.is_nan f then f
   else begin
     BA1.unsafe_set tmp 0 f;
     BA1.unsafe_get tmp 0
   end
 
+(* The I32 accumulator store: [Dtype.round I32] (truncate, then wrap to
+   32 bits with a shift pair), inlined. *)
+let i32_shift = Sys.int_size - 32
+
+let[@inline] round_i32 f = float_of_int ((int_of_float f lsl i32_shift) asr i32_shift)
+
+let is_int_acc lt = Dtype.equal (Local_tensor.dtype lt) Dtype.I32
+
+let[@inline] round_acc ~int_acc tmp f =
+  if int_acc then round_i32 f else round_f32 tmp f
+
 let eval_general a b c ~m ~k ~n ~accumulate =
   let ab = raw a and bb = raw b and cb = raw c in
-  let round = acc_rounder c in
+  let int_acc = is_int_acc c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       let acc = ref (if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0) in
@@ -60,7 +71,7 @@ let eval_general a b c ~m ~k ~n ~accumulate =
           !acc
           +. (BA1.unsafe_get ab ((i * k) + t) *. BA1.unsafe_get bb ((t * n) + j))
       done;
-      BA1.unsafe_set cb ((i * n) + j) (round !acc)
+      BA1.unsafe_set cb ((i * n) + j) (round_acc ~int_acc tmp !acc)
     done
   done
 
@@ -95,21 +106,21 @@ let eval_b_upper_ones a c ~m ~k ~n ~accumulate =
         done
       done
   | _ ->
-      let round = acc_rounder c in
+      (* I32, the only other accumulator [mmad] admits (int8 McScan). *)
       for i = 0 to m - 1 do
         let run = ref 0.0 in
         let arow = i * k and crow = i * n in
         for j = 0 to n - 1 do
           if j < k then run := !run +. BA1.unsafe_get ab (arow + j);
           let base = if accumulate then BA1.unsafe_get cb (crow + j) else 0.0 in
-          BA1.unsafe_set cb (crow + j) (round (base +. !run))
+          BA1.unsafe_set cb (crow + j) (round_i32 (base +. !run))
         done
       done)
 
 (* C[i,j] (+)= sum_{t >= j} A[i,t]  — B = L (lower-triangular ones). *)
 let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw c in
-  let round = acc_rounder c in
+  let int_acc = is_int_acc c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     (* suffix sums of row i of A *)
     let run = ref 0.0 in
@@ -120,14 +131,14 @@ let eval_b_lower_ones a c ~m ~k ~n ~accumulate =
     done;
     for j = 0 to n - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. suffix.(j)))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc ~int_acc tmp (base +. suffix.(j)))
     done
   done
 
 (* C[i,j] (+)= sum_t A[i,t]  — B = all-ones. *)
 let eval_b_all_ones a c ~m ~k ~n ~accumulate =
   let ab = raw a and cb = raw c in
-  let round = acc_rounder c in
+  let int_acc = is_int_acc c and tmp = f32scratch () in
   for i = 0 to m - 1 do
     let sum = ref 0.0 in
     for t = 0 to k - 1 do
@@ -135,7 +146,7 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
     done;
     for j = 0 to n - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !sum))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc ~int_acc tmp (base +. !sum))
     done
   done
 
@@ -143,12 +154,12 @@ let eval_b_all_ones a c ~m ~k ~n ~accumulate =
    column-wise exclusive prefix sums of B. *)
 let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw c in
-  let round = acc_rounder c in
+  let int_acc = is_int_acc c and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !run));
+      BA1.unsafe_set cb ((i * n) + j) (round_acc ~int_acc tmp (base +. !run));
       if i < k then run := !run +. BA1.unsafe_get bb ((i * n) + j)
     done
   done
@@ -156,13 +167,13 @@ let eval_a_strict_lower_ones b c ~m ~k ~n ~accumulate =
 (* C[i,j] (+)= sum_{t <= i} B[t,j]  — A = lower-triangular ones. *)
 let eval_a_lower_ones b c ~m ~k ~n ~accumulate =
   let bb = raw b and cb = raw c in
-  let round = acc_rounder c in
+  let int_acc = is_int_acc c and tmp = f32scratch () in
   for j = 0 to n - 1 do
     let run = ref 0.0 in
     for i = 0 to m - 1 do
       if i < k then run := !run +. BA1.unsafe_get bb ((i * n) + j);
       let base = if accumulate then BA1.unsafe_get cb ((i * n) + j) else 0.0 in
-      BA1.unsafe_set cb ((i * n) + j) (round (base +. !run))
+      BA1.unsafe_set cb ((i * n) + j) (round_acc ~int_acc tmp (base +. !run))
     done
   done
 

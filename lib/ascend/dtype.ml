@@ -29,47 +29,26 @@ let[@inline] round_f32 v =
   if Float.is_nan v then v else Int32.float_of_bits (Int32.bits_of_float v)
 
 (* Two's-complement wrap-around of a truncated float, for a field of
-   [bits] bits. Mirrors what the hardware stores on integer overflow. *)
-let wrap_signed bits v =
-  let m = 1 lsl bits in
-  let x = ((int_of_float v) mod m + m) mod m in
-  if x >= m / 2 then float_of_int (x - m) else float_of_int x
+   [bits] bits. Mirrors what the hardware stores on integer overflow.
+   Shift/mask form of [((x mod 2^bits) + 2^bits) mod 2^bits] (then
+   re-signed): sign-extend the low [bits] bits with a shift pair, and
+   for unsigned fields keep only those bits. *)
+let int_shift dt = Sys.int_size - (size_bytes dt * 8)
+let int_keep = function U16 -> 0xFFFF | F16 | F32 | I8 | I16 | I32 -> -1
 
-let wrap_unsigned bits v =
-  let m = 1 lsl bits in
-  float_of_int (((int_of_float v) mod m + m) mod m)
+let[@inline] wrap ~shift ~keep v =
+  float_of_int (((int_of_float v lsl shift) asr shift) land keep)
 
 let[@inline] round dt v =
   match dt with
   | F16 -> Fp16.round v
   | F32 -> round_f32 v
-  | I8 -> wrap_signed 8 v
-  | I16 -> wrap_signed 16 v
-  | U16 -> wrap_unsigned 16 v
-  | I32 -> wrap_signed 32 v
+  | I8 | I16 | U16 | I32 -> wrap ~shift:(int_shift dt) ~keep:(int_keep dt) v
 
 let cast ~from ~into v =
   match from, into with
   | (F16 | F32), (I8 | I16 | U16 | I32) -> round into (Float.of_int (int_of_float v))
   | _, _ -> round into v
-
-(* Bulk-path variants: dispatch on the dtype once and return the bare
-   element function, so tight copy/convert loops (Host_buffer, MTE
-   DataCopy) hoist the per-element match out of the loop. *)
-let rounder = function
-  | F16 -> Fp16.round
-  | F32 -> round_f32
-  | I8 -> wrap_signed 8
-  | I16 -> wrap_signed 16
-  | U16 -> wrap_unsigned 16
-  | I32 -> wrap_signed 32
-
-let caster ~from ~into =
-  match from, into with
-  | (F16 | F32), (I8 | I16 | U16 | I32) ->
-      let r = rounder into in
-      fun v -> r (Float.of_int (int_of_float v))
-  | _, _ -> rounder into
 
 let equal a b =
   match a, b with

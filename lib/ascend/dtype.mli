@@ -24,6 +24,16 @@ val round : t -> float -> float
     buffer of type [dt]: fp16/fp32 rounding for float types, truncation
     toward zero followed by wrap-around for integer types. *)
 
+val int_shift : t -> int
+(** [Sys.int_size] minus the bit width of [dt]: the shift pair
+    [(x lsl int_shift dt) asr int_shift dt] sign-extends the low bits
+    of [x]. Meaningful for integer types only. *)
+
+val int_keep : t -> int
+(** The mask applied after that sign extension: [0xFFFF] for [U16],
+    [-1] (every bit) otherwise. With {!int_shift} it lets bulk kernels
+    hoist the integer arm of {!round} out of their loops. *)
+
 val round_f32 : float -> float
 (** The [F32] arm of {!round} directly (one binary32 roundtrip, NaN
     passed through); exposed so bulk kernels can specialise their
@@ -45,12 +55,3 @@ val to_string : t -> string
 val cast : from:t -> into:t -> float -> float
 (** Hardware cast semantics: integer-to-integer wraps, float-to-integer
     truncates toward zero then wraps, anything-to-float rounds. *)
-
-val rounder : t -> float -> float
-(** [rounder dt] is {!round}[ dt] with the dtype dispatch paid once;
-    partially apply it outside a loop and the loop body is the bare
-    per-element function. *)
-
-val caster : from:t -> into:t -> float -> float
-(** [caster ~from ~into] is {!cast}[ ~from ~into] with the dispatch
-    paid once, for bulk converting copies. *)

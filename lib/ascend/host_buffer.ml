@@ -52,6 +52,30 @@ let[@inline] round_f32 f =
      suite in test_bulk.ml observes bit for bit. *)
   if Float.is_nan f then f else Int32.float_of_bits (Int32.bits_of_float f)
 
+(* Integer stores: truncate toward zero, then wrap to the field with
+   [Dtype]'s shift/mask form. The shift and mask are hoisted out of
+   each integer arm ([Dtype.int_shift]/[Dtype.int_keep]); the element
+   work is three primitive int ops, with no call and no boxing. *)
+let[@inline] wrap_int ~shift ~keep v =
+  float_of_int (((int_of_float v lsl shift) asr shift) land keep)
+
+(* The dtype dispatch of an element store, resolved once per kernel
+   call. Hot kernels spell out an F16, an F32 and an integer arm;
+   [round_by] serves the remaining (cold) operator/dtype pairs with one
+   predictable branch per element and still no allocation. *)
+type rounding = R_f16 | R_f32 | R_int of { shift : int; keep : int }
+
+let rounding = function
+  | Dtype.F16 -> R_f16
+  | Dtype.F32 -> R_f32
+  | dt -> R_int { shift = Dtype.int_shift dt; keep = Dtype.int_keep dt }
+
+let[@inline] round_by r v =
+  match r with
+  | R_f16 -> round_f16 v
+  | R_f32 -> round_f32 v
+  | R_int { shift; keep } -> wrap_int ~shift ~keep v
+
 (* Storage pool. Simulated scratchpads are allocated per block per
    launch — without reuse, a 20-block McScan launch maps, faults in and
    unmaps ~10 MB of 128 KB Bigarrays per run, and the GC's custom-block
@@ -141,25 +165,27 @@ let fill_range t ~off ~len v =
 
 (* Bulk element conversion with the dtype dispatch hoisted out of the
    loop; ranges must already be validated. Shared by the converting
-   [blit] path and [of_array]. The F16/F32 arms call the codec directly
-   so the rounding inlines instead of re-dispatching per element. *)
-let convert_into ~from ~(dst : t) ~(src : ba) ~src_off ~dst_off ~len =
+   [blit] path and [load_array]. A converting store is [Dtype.cast],
+   which only depends on the destination: float-to-integer truncation
+   is the integer wrap's own [int_of_float], and every source value is
+   a float either way. *)
+let convert_into ~(dst : t) ~(src : ba) ~src_off ~dst_off ~len =
   let d = dst.data in
-  match from, dst.dtype with
-  | (Dtype.F16 | Dtype.F32), Dtype.F16 | Dtype.I8, Dtype.F16 ->
+  match rounding dst.dtype with
+  | R_f16 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f16 (BA1.unsafe_get src (src_off + i)))
       done
-  | (Dtype.F16 | Dtype.F32), Dtype.F32 | Dtype.I8, Dtype.F32 ->
+  | R_f32 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f32 (BA1.unsafe_get src (src_off + i)))
       done
-  | _, _ ->
+  | R_int { shift; keep } ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
-          (Dtype.cast ~from ~into:dst.dtype (BA1.unsafe_get src (src_off + i)))
+          (wrap_int ~shift ~keep (BA1.unsafe_get src (src_off + i)))
       done
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
@@ -174,46 +200,42 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
          wholesale (memmove; overlap-safe), no per-element rounding. *)
       BA1.blit (BA1.sub src.data src_off len) (BA1.sub dst.data dst_off len)
     else
-      convert_into ~from:src.dtype ~dst ~src:src.data ~src_off ~dst_off ~len
+      convert_into ~dst ~src:src.data ~src_off ~dst_off ~len
 
-let of_array dt a =
-  let n = Array.length a in
-  let t = create dt n in
-  let d = t.data in
-  (match dt with
-  | Dtype.F16 ->
-      for i = 0 to n - 1 do
-        BA1.unsafe_set d i (round_f16 (Array.unsafe_get a i))
-      done
-  | Dtype.F32 ->
-      for i = 0 to n - 1 do
-        BA1.unsafe_set d i (round_f32 (Array.unsafe_get a i))
-      done
-  | dt ->
-      for i = 0 to n - 1 do
-        BA1.unsafe_set d i (Dtype.round dt (Array.unsafe_get a i))
-      done);
-  t
-
+(* A float array is a Bigarray-compatible source only by value, so
+   stage it element-wise through the same three arms. *)
 let load_array t a =
   let n = Array.length a in
   check_range "load_array" t 0 n;
   let d = t.data in
-  match t.dtype with
-  | Dtype.F16 ->
+  match rounding t.dtype with
+  | R_f16 ->
       for i = 0 to n - 1 do
         BA1.unsafe_set d i (round_f16 (Array.unsafe_get a i))
       done
-  | Dtype.F32 ->
+  | R_f32 ->
       for i = 0 to n - 1 do
         BA1.unsafe_set d i (round_f32 (Array.unsafe_get a i))
       done
-  | dt ->
+  | R_int { shift; keep } ->
       for i = 0 to n - 1 do
-        BA1.unsafe_set d i (Dtype.round dt (Array.unsafe_get a i))
+        BA1.unsafe_set d i (wrap_int ~shift ~keep (Array.unsafe_get a i))
       done
 
-let to_array t = Array.init (length t) (fun i -> BA1.unsafe_get t.data i)
+let of_array dt a =
+  let t = create dt (Array.length a) in
+  load_array t a;
+  t
+
+(* A plain loop into an unboxed float array: [Array.init] with a
+   closure would box every element on its way out. *)
+let to_array t =
+  let n = length t in
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (BA1.unsafe_get t.data i)
+  done;
+  a
 
 let copy t =
   let n = length t in
@@ -230,6 +252,14 @@ let copy t =
 type binop = Add | Sub | Mul | Max | Min
 type scalar_op = Adds | Muls | Maxs | Mins
 
+let[@inline] apply op a b =
+  match op with
+  | Add -> a +. b
+  | Sub -> a -. b
+  | Mul -> a *. b
+  | Max -> Float.max a b
+  | Min -> Float.min a b
+
 (* dst.(i) <- round (src0.(i) op src1.(i)); src0 is the left operand,
    as in [Vec.binop]'s historical [fun_of_binop] closures. *)
 let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
@@ -237,27 +267,20 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
   check_range "map2_binop" src1 src1_off len;
   check_range "map2_binop" dst dst_off len;
   let a = src0.data and b = src1.data and d = dst.data in
-  let finish_generic dt f =
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (dst_off + i)
-        (Dtype.round dt
-           (f (BA1.unsafe_get a (src0_off + i)) (BA1.unsafe_get b (src1_off + i))))
-    done
-  in
-  match op, dst.dtype with
-  | Add, Dtype.F16 ->
+  match op, rounding dst.dtype with
+  | Add, R_f16 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f16
              (BA1.unsafe_get a (src0_off + i) +. BA1.unsafe_get b (src1_off + i)))
       done
-  | Add, Dtype.F32 ->
+  | Add, R_f32 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f32
              (BA1.unsafe_get a (src0_off + i) +. BA1.unsafe_get b (src1_off + i)))
       done
-  | Max, Dtype.F16 ->
+  | Max, R_f16 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f16
@@ -265,7 +288,7 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
                 (BA1.unsafe_get a (src0_off + i))
                 (BA1.unsafe_get b (src1_off + i))))
       done
-  | Max, Dtype.F32 ->
+  | Max, R_f32 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f32
@@ -273,74 +296,252 @@ let map2_binop op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
                 (BA1.unsafe_get a (src0_off + i))
                 (BA1.unsafe_get b (src1_off + i))))
       done
-  | Add, dt -> finish_generic dt ( +. )
-  | Sub, dt -> finish_generic dt ( -. )
-  | Mul, dt -> finish_generic dt ( *. )
-  | Max, dt -> finish_generic dt Float.max
-  | Min, dt -> finish_generic dt Float.min
+  | op, R_int { shift; keep } ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (dst_off + i)
+          (wrap_int ~shift ~keep
+             (apply op
+                (BA1.unsafe_get a (src0_off + i))
+                (BA1.unsafe_get b (src1_off + i))))
+      done
+  | op, r ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (dst_off + i)
+          (round_by r
+             (apply op
+                (BA1.unsafe_get a (src0_off + i))
+                (BA1.unsafe_get b (src1_off + i))))
+      done
 
-(* dst.(i) <- round (src.(i) op scalar), with the operand order of the
-   historical [Vec] closures: [adds]/[muls] put the element first,
-   [maxs]/[mins] partially applied the scalar first. *)
+(* The historical [Vec] operand order: [adds]/[muls] put the element
+   first, [maxs]/[mins] partially applied the scalar first. *)
+let[@inline] apply_scalar op v scalar =
+  match op with
+  | Adds -> v +. scalar
+  | Muls -> v *. scalar
+  | Maxs -> Float.max scalar v
+  | Mins -> Float.min scalar v
+
+(* dst.(i) <- round (src.(i) op scalar), in [apply_scalar]'s order. *)
 let map1_scalar op ~src ~src_off ~dst ~dst_off ~scalar ~len =
   check_range "map1_scalar" src src_off len;
   check_range "map1_scalar" dst dst_off len;
   let s = src.data and d = dst.data in
-  let finish_generic dt f =
-    for i = 0 to len - 1 do
-      BA1.unsafe_set d (dst_off + i)
-        (Dtype.round dt (f (BA1.unsafe_get s (src_off + i))))
-    done
-  in
-  match op, dst.dtype with
-  | Adds, Dtype.F16 ->
+  match op, rounding dst.dtype with
+  | Adds, R_f16 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f16 (BA1.unsafe_get s (src_off + i) +. scalar))
       done
-  | Adds, Dtype.F32 ->
+  | Adds, R_f32 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f32 (BA1.unsafe_get s (src_off + i) +. scalar))
       done
-  | Maxs, Dtype.F16 ->
+  | Maxs, R_f16 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f16 (Float.max scalar (BA1.unsafe_get s (src_off + i))))
       done
-  | Maxs, Dtype.F32 ->
+  | Maxs, R_f32 ->
       for i = 0 to len - 1 do
         BA1.unsafe_set d (dst_off + i)
           (round_f32 (Float.max scalar (BA1.unsafe_get s (src_off + i))))
       done
-  | Adds, dt -> finish_generic dt (fun v -> v +. scalar)
-  | Muls, dt -> finish_generic dt (fun v -> v *. scalar)
-  | Maxs, dt -> finish_generic dt (Float.max scalar)
-  | Mins, dt -> finish_generic dt (Float.min scalar)
+  | op, R_int { shift; keep } ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (dst_off + i)
+          (wrap_int ~shift ~keep
+             (apply_scalar op (BA1.unsafe_get s (src_off + i)) scalar))
+      done
+  (* Float arms written out like the historical closures (see
+     [scan_segment] on why the operand shape matters for NaNs). *)
+  | Muls, r ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (dst_off + i)
+          (round_by r (BA1.unsafe_get s (src_off + i) *. scalar))
+      done
+  | Mins, r ->
+      for i = 0 to len - 1 do
+        BA1.unsafe_set d (dst_off + i)
+          (round_by r (Float.min scalar (BA1.unsafe_get s (src_off + i))))
+      done
 
-(* Closure fall-backs for the cold element-wise paths (compare, bit
-   ops, exp, ...): still one range validation and no per-element
-   bounds checks, but the element function stays a closure. *)
+(* Closure fall-back for the cold element-wise paths ([Vec.exp]): still
+   one range validation and no per-element bounds checks, but the
+   element function stays a closure. *)
 let map1_f f ~src ~src_off ~dst ~dst_off ~len =
   check_range "map1_f" src src_off len;
   check_range "map1_f" dst dst_off len;
   let s = src.data and d = dst.data in
-  let dt = dst.dtype in
+  let r = rounding dst.dtype in
   for i = 0 to len - 1 do
-    BA1.unsafe_set d (dst_off + i)
-      (Dtype.round dt (f (BA1.unsafe_get s (src_off + i))))
+    BA1.unsafe_set d (dst_off + i) (round_by r (f (BA1.unsafe_get s (src_off + i))))
   done
 
-let map2_f f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
-  check_range "map2_f" src0 src0_off len;
-  check_range "map2_f" src1 src1_off len;
-  check_range "map2_f" dst dst_off len;
+(* Bit-wise kernels view each element as the unsigned field of its
+   dtype ([v land (2^bits - 1)], the historical
+   [((v mod 2^bits) + 2^bits) mod 2^bits]) and store the integer result
+   through the destination's rounding, exactly as the scalar
+   [set (float_of_int r)] did. *)
+type bitop = Shl | Shr | And | Or | Xor
+
+let[@inline] apply_bits op u arg =
+  match op with
+  | Shl -> u lsl arg
+  | Shr -> u lsr arg
+  | And -> u land arg
+  | Or -> u lor arg
+  | Xor -> u lxor arg
+
+let field_mask t = (1 lsl (Dtype.size_bytes t.dtype * 8)) - 1
+
+let require_int name t =
+  if not (Dtype.is_integer t.dtype) then
+    invalid_arg
+      (Printf.sprintf "Host_buffer.%s: bit-wise ops require an integer dtype"
+         name)
+
+let dst_int_params name t =
+  require_int name t;
+  (Dtype.int_shift t.dtype, Dtype.int_keep t.dtype)
+
+let map1_bits op ~src ~src_off ~dst ~dst_off ~arg ~len =
+  check_range "map1_bits" src src_off len;
+  check_range "map1_bits" dst dst_off len;
+  require_int "map1_bits" src;
+  let shift, keep = dst_int_params "map1_bits" dst in
+  let s = src.data and d = dst.data in
+  let m = field_mask src in
+  for i = 0 to len - 1 do
+    let u = int_of_float (BA1.unsafe_get s (src_off + i)) land m in
+    BA1.unsafe_set d (dst_off + i)
+      (wrap_int ~shift ~keep (float_of_int (apply_bits op u arg)))
+  done
+
+let map2_bits op ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
+  check_range "map2_bits" src0 src0_off len;
+  check_range "map2_bits" src1 src1_off len;
+  check_range "map2_bits" dst dst_off len;
+  require_int "map2_bits" src0;
+  require_int "map2_bits" src1;
+  let shift, keep = dst_int_params "map2_bits" dst in
   let a = src0.data and b = src1.data and d = dst.data in
-  let dt = dst.dtype in
+  let m0 = field_mask src0 and m1 = field_mask src1 in
+  for i = 0 to len - 1 do
+    let u0 = int_of_float (BA1.unsafe_get a (src0_off + i)) land m0 in
+    let u1 = int_of_float (BA1.unsafe_get b (src1_off + i)) land m1 in
+    BA1.unsafe_set d (dst_off + i)
+      (wrap_int ~shift ~keep (float_of_int (apply_bits op u0 u1)))
+  done
+
+(* Comparisons store 1/0 (as rounded into the destination) when
+   [Float.compare a b] satisfies the predicate — the total order, so
+   NaN compares equal to itself and below every other value. *)
+type cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+let[@inline] holds cmp c =
+  match cmp with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+let compare_scalar cmp ~src ~src_off ~dst ~dst_off ~scalar ~len =
+  check_range "compare_scalar" src src_off len;
+  check_range "compare_scalar" dst dst_off len;
+  let s = src.data and d = dst.data in
+  let one = Dtype.round dst.dtype 1.0 and zero = Dtype.round dst.dtype 0.0 in
   for i = 0 to len - 1 do
     BA1.unsafe_set d (dst_off + i)
-      (Dtype.round dt
-         (f (BA1.unsafe_get a (src0_off + i)) (BA1.unsafe_get b (src1_off + i))))
+      (if holds cmp (Float.compare (BA1.unsafe_get s (src_off + i)) scalar)
+       then one
+       else zero)
+  done
+
+let compare cmp ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
+  check_range "compare" src0 src0_off len;
+  check_range "compare" src1 src1_off len;
+  check_range "compare" dst dst_off len;
+  let a = src0.data and b = src1.data and d = dst.data in
+  let one = Dtype.round dst.dtype 1.0 and zero = Dtype.round dst.dtype 0.0 in
+  for i = 0 to len - 1 do
+    BA1.unsafe_set d (dst_off + i)
+      (if
+         holds cmp
+           (Float.compare
+              (BA1.unsafe_get a (src0_off + i))
+              (BA1.unsafe_get b (src1_off + i)))
+       then one
+       else zero)
+  done
+
+(* Stream compaction: append [src.(i)] at [dst_off + k] for every
+   non-zero [mask.(i)], in order; returns the count [k]. The
+   destination is checked per append (it only has to hold the kept
+   elements) and overflow raises the scalar [set]'s
+   [Invalid_argument "index out of bounds"] after the writes that
+   fitted, as the historical loop did. *)
+let compress ~src ~src_off ~mask ~mask_off ~dst ~dst_off ~len =
+  check_range "compress" src src_off len;
+  check_range "compress" mask mask_off len;
+  let s = src.data and m = mask.data and d = dst.data in
+  let cap = length dst in
+  let r = rounding dst.dtype in
+  let same = Dtype.equal src.dtype dst.dtype in
+  let k = ref dst_off in
+  for i = 0 to len - 1 do
+    if BA1.unsafe_get m (mask_off + i) <> 0.0 then begin
+      if !k < 0 || !k >= cap then invalid_arg "index out of bounds";
+      let v = BA1.unsafe_get s (src_off + i) in
+      (* Same-dtype values are already canonical: move them as is. *)
+      BA1.unsafe_set d !k (if same then v else round_by r v);
+      incr k
+    end
+  done;
+  !k - dst_off
+
+(* dst.(i) <- round src.(idx.(i)); indices are checked against [src]
+   one by one, the writes before a bad index stay (historical order). *)
+let gather ~src ~idx ~dst ~len =
+  check_range "gather" idx 0 len;
+  check_range "gather" dst 0 len;
+  let s = src.data and ix = idx.data and d = dst.data in
+  let n = length src in
+  let r = rounding dst.dtype in
+  for i = 0 to len - 1 do
+    let j = int_of_float (BA1.unsafe_get ix i) in
+    if j < 0 || j >= n then
+      invalid_arg (Printf.sprintf "Host_buffer.gather: index %d out of range" j);
+    BA1.unsafe_set d i (round_by r (BA1.unsafe_get s j))
+  done
+
+(* Reinterpretation between fp16 values and their u16 bit patterns
+   (the zero-cost bitcast of the radix sort). Both directions produce
+   values already canonical for the destination — a pattern in
+   [0, 0xFFFF], a decoded fp16 — so no further rounding applies. *)
+let check_bitcast name ~src ~dst ~from ~into =
+  if not (Dtype.equal src.dtype from && Dtype.equal dst.dtype into) then
+    invalid_arg (Printf.sprintf "Host_buffer.%s: dtype mismatch" name);
+  if length dst < length src then
+    invalid_arg (Printf.sprintf "Host_buffer.%s: destination too short" name)
+
+let bitcast_f16_to_u16 ~src ~dst =
+  check_bitcast "bitcast_f16_to_u16" ~src ~dst ~from:Dtype.F16 ~into:Dtype.U16;
+  let s = src.data and d = dst.data in
+  for i = 0 to length src - 1 do
+    BA1.unsafe_set d i (float_of_int (f16_encode (BA1.unsafe_get s i)))
+  done
+
+let bitcast_u16_to_f16 ~src ~dst =
+  check_bitcast "bitcast_u16_to_f16" ~src ~dst ~from:Dtype.U16 ~into:Dtype.F16;
+  let s = src.data and d = dst.data in
+  for i = 0 to length src - 1 do
+    BA1.unsafe_set d i
+      (Array.unsafe_get f16_decode_table
+         (int_of_float (BA1.unsafe_get s i) land 0xFFFF))
   done
 
 let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off
@@ -350,22 +551,22 @@ let select_range ~mask ~mask_off ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off
   check_range "select_range" src1 src1_off len;
   check_range "select_range" dst dst_off len;
   let m = mask.data and a = src0.data and b = src1.data and d = dst.data in
-  let dt = dst.dtype in
+  let r = rounding dst.dtype in
   for i = 0 to len - 1 do
     let v =
       if BA1.unsafe_get m (mask_off + i) <> 0.0 then
         BA1.unsafe_get a (src0_off + i)
       else BA1.unsafe_get b (src1_off + i)
     in
-    BA1.unsafe_set d (dst_off + i) (Dtype.round dt v)
+    BA1.unsafe_set d (dst_off + i) (round_by r v)
   done
 
 let arange_range t ~off ~start ~len =
   check_range "arange_range" t off len;
   let d = t.data in
-  let dt = t.dtype in
+  let r = rounding t.dtype in
   for i = 0 to len - 1 do
-    BA1.unsafe_set d (off + i) (Dtype.round dt (start +. float_of_int i))
+    BA1.unsafe_set d (off + i) (round_by r (start +. float_of_int i))
   done
 
 (* Raw double-accumulator reductions, forward order, no final rounding
@@ -396,20 +597,20 @@ let scan_accum ~src ~dst ~len =
   check_range "scan_accum" dst 0 len;
   let s = src.data and d = dst.data in
   let acc = ref 0.0 in
-  (match dst.dtype with
-  | Dtype.F16 ->
+  (match rounding dst.dtype with
+  | R_f16 ->
       for i = 0 to len - 1 do
         acc := round_f16 (!acc +. BA1.unsafe_get s i);
         BA1.unsafe_set d i !acc
       done
-  | Dtype.F32 ->
+  | R_f32 ->
       for i = 0 to len - 1 do
         acc := round_f32 (!acc +. BA1.unsafe_get s i);
         BA1.unsafe_set d i !acc
       done
-  | dt ->
+  | R_int { shift; keep } ->
       for i = 0 to len - 1 do
-        acc := Dtype.round dt (!acc +. BA1.unsafe_get s i);
+        acc := wrap_int ~shift ~keep (!acc +. BA1.unsafe_get s i);
         BA1.unsafe_set d i !acc
       done);
   !acc
@@ -424,41 +625,44 @@ let scan_segment op t ~off ~len ~seg ~init =
   if seg <= 0 then invalid_arg "Host_buffer.scan_segment: seg must be positive";
   check_range "scan_segment" t off len;
   let d = t.data in
-  let dt = t.dtype in
+  let r = rounding t.dtype in
   let carry = ref init in
   let pos = ref 0 in
   while !pos < len do
     let row_len = min seg (len - !pos) in
     let base = off + !pos in
     let c = !carry in
-    (match op, dt with
-    | Add, Dtype.F16 ->
+    (match op, r with
+    | Add, R_f16 ->
         for j = base to base + row_len - 1 do
           BA1.unsafe_set d j (round_f16 (BA1.unsafe_get d j +. c))
         done
-    | Add, Dtype.F32 ->
+    | Add, R_f32 ->
         for j = base to base + row_len - 1 do
           BA1.unsafe_set d j (round_f32 (BA1.unsafe_get d j +. c))
         done
-    | Add, dt ->
+    | Add, R_int { shift; keep } ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j +. c))
+          BA1.unsafe_set d j (wrap_int ~shift ~keep (BA1.unsafe_get d j +. c))
         done
-    | Max, dt ->
+    (* The remaining arms keep the operand shapes of the historical
+       loop: when both operands of a commutative op are NaN, which
+       payload survives depends on how the multiply is emitted. *)
+    | Mul, r ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (Float.max c (BA1.unsafe_get d j)))
+          BA1.unsafe_set d j (round_by r (BA1.unsafe_get d j *. c))
         done
-    | Min, dt ->
+    | Sub, r ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (Float.min c (BA1.unsafe_get d j)))
+          BA1.unsafe_set d j (round_by r (BA1.unsafe_get d j -. c))
         done
-    | Mul, dt ->
+    | Max, r ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j *. c))
+          BA1.unsafe_set d j (round_by r (Float.max c (BA1.unsafe_get d j)))
         done
-    | Sub, dt ->
+    | Min, r ->
         for j = base to base + row_len - 1 do
-          BA1.unsafe_set d j (Dtype.round dt (BA1.unsafe_get d j -. c))
+          BA1.unsafe_set d j (round_by r (Float.min c (BA1.unsafe_get d j)))
         done);
     carry := BA1.unsafe_get d (base + row_len - 1);
     pos := !pos + row_len

@@ -23,9 +23,9 @@ val data : t -> ba
 (** The backing Bigarray — the escape hatch for engine evaluation
     loops that validate their ranges up front and round explicitly
     (see {!Cube}). Every element written must be canonical for
-    {!dtype} (pass it through {!Dtype.round} or a hoisted
-    {!Dtype.rounder}); the scalar/bulk APIs above maintain that
-    invariant automatically. *)
+    {!dtype} (pass it through {!Dtype.round}, or an inlined equivalent
+    hoisted out of the loop as {!Cube} does); the scalar/bulk APIs
+    maintain that invariant automatically. *)
 
 val create : Dtype.t -> int -> t
 (** [create dt n] is a zero-initialised buffer of [n] elements. The
@@ -85,12 +85,17 @@ val load_array : t -> float array -> unit
     [Invalid_argument] when [a] is longer than the buffer. *)
 
 val to_array : t -> float array
+(** A fresh copy of the contents (unboxed float array). *)
+
 val copy : t -> t
 
 (** {2 Bulk kernels}
 
     Dtype-specialised loops over validated ranges. All raise
-    [Invalid_argument] on out-of-range spans. *)
+    [Invalid_argument] on out-of-range spans. Each hoists the
+    destination's rounding out of the loop into an F16, an F32 or an
+    integer arm (the integer wrap in {!Dtype.int_shift} /
+    {!Dtype.int_keep} form), so no element store allocates. *)
 
 type binop = Add | Sub | Mul | Max | Min
 
@@ -117,10 +122,63 @@ val map1_f :
 (** Closure fall-back for the cold element-wise paths; still a single
     range validation and a bounds-check-free loop. *)
 
-val map2_f :
-  (float -> float -> float) ->
+type bitop = Shl | Shr | And | Or | Xor
+
+val map1_bits :
+  bitop ->
+  src:t -> src_off:int -> dst:t -> dst_off:int -> arg:int -> len:int -> unit
+(** [dst.(i) <- round (u op arg)], [u] the unsigned field of
+    [src.(i)] ([int_of_float v land (2^bits - 1)]); [Shl]/[Shr] shift
+    by [arg]. Both buffers must have integer dtypes ([Invalid_argument]
+    otherwise). *)
+
+val map2_bits :
+  bitop ->
   src0:t -> src0_off:int -> src1:t -> src1_off:int ->
   dst:t -> dst_off:int -> len:int -> unit
+(** Tensor-tensor {!map1_bits}: [dst.(i) <- round (u0 op u1)], each
+    operand read as the unsigned field of its own dtype. With [Shl] or
+    [Shr] the result is unspecified where [u1] exceeds
+    [Sys.int_size]. *)
+
+type cmp = Eq | Ne | Lt | Le | Gt | Ge
+
+val compare_scalar :
+  cmp ->
+  src:t -> src_off:int -> dst:t -> dst_off:int -> scalar:float ->
+  len:int -> unit
+(** [dst.(i) <- 1] when [Float.compare src.(i) scalar] satisfies the
+    predicate, else [0] (NaN is equal to itself and below every other
+    value). *)
+
+val compare :
+  cmp ->
+  src0:t -> src0_off:int -> src1:t -> src1_off:int ->
+  dst:t -> dst_off:int -> len:int -> unit
+(** Tensor-tensor {!compare_scalar}. *)
+
+val compress :
+  src:t -> src_off:int -> mask:t -> mask_off:int -> dst:t -> dst_off:int ->
+  len:int -> int
+(** Stream compaction: append every [src.(src_off+i)] whose
+    [mask.(mask_off+i)] is non-zero to [dst] from [dst_off] on, in
+    order, rounding through [dst]'s dtype; returns the count. The
+    destination need only hold the kept elements: an append past its
+    end raises [Invalid_argument "index out of bounds"], the earlier
+    appends done. *)
+
+val gather : src:t -> idx:t -> dst:t -> len:int -> unit
+(** [dst.(i) <- round src.(idx.(i))] for [i < len]; an index outside
+    [src] raises [Invalid_argument], the earlier stores done. *)
+
+val bitcast_f16_to_u16 : src:t -> dst:t -> unit
+(** [dst.(i) <- float (Fp16.of_float src.(i))] for every element of
+    the F16 buffer [src]: its binary16 bit patterns, into the U16
+    buffer [dst] (at least as long). *)
+
+val bitcast_u16_to_f16 : src:t -> dst:t -> unit
+(** The inverse, [dst.(i) <- Fp16.to_float (int src.(i))], from U16
+    into F16. *)
 
 val select_range :
   mask:t -> mask_off:int -> src0:t -> src0_off:int -> src1:t ->

@@ -1,5 +1,5 @@
-type binop = Add | Sub | Mul | Max | Min
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type binop = Host_buffer.binop = Add | Sub | Mul | Max | Min
+type cmp = Host_buffer.cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 let require_ub what lt =
   match Local_tensor.kind lt with
@@ -42,32 +42,9 @@ let charge_scalar ctx ~vec ~op =
 
 let esize lt = Dtype.size_bytes (Local_tensor.dtype lt)
 
-(* Element-wise loops now route through the Host_buffer bulk kernels:
-   one range validation, then a bounds-check-free dtype-specialised
-   inner loop over the flat Bigarray storage. *)
-let map1 ctx f ~src ~src_off ~dst ~dst_off ~len =
-  if Block.functional ctx then begin
-    Local_tensor.touch dst;
-    Host_buffer.map1_f f
-      ~src:(Local_tensor.buffer src) ~src_off
-      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
-  end
-
-let map2 ctx f ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len =
-  if Block.functional ctx then begin
-    Local_tensor.touch dst;
-    Host_buffer.map2_f f
-      ~src0:(Local_tensor.buffer src0) ~src0_off
-      ~src1:(Local_tensor.buffer src1) ~src1_off
-      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
-  end
-
-let hb_binop = function
-  | Add -> Host_buffer.Add
-  | Sub -> Host_buffer.Sub
-  | Mul -> Host_buffer.Mul
-  | Max -> Host_buffer.Max
-  | Min -> Host_buffer.Min
+(* Element-wise ops route through the Host_buffer bulk kernels: one
+   range validation, then a bounds-check-free dtype-specialised inner
+   loop over the flat Bigarray storage. *)
 
 let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
     ?(dst_off = 0) ~len () =
@@ -86,7 +63,7 @@ let binop ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst);
   if Block.functional ctx then begin
     Local_tensor.touch dst;
-    Host_buffer.map2_binop (hb_binop op)
+    Host_buffer.map2_binop op
       ~src0:(Local_tensor.buffer src0) ~src0_off
       ~src1:(Local_tensor.buffer src1) ~src1_off
       ~dst:(Local_tensor.buffer dst) ~dst_off ~len
@@ -104,10 +81,6 @@ let scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
   check_range ctx name src src_off len;
   check_range ctx name dst dst_off len;
   charge_op ctx ~vec ~op:name ~instrs:1 ~len ~esize:(esize dst)
-
-let scalar_map name f ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
-  scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
-  map1 ctx f ~src ~src_off ~dst ~dst_off ~len
 
 let scalar_map_spec name op ctx ~vec ~src ~src_off ~dst ~dst_off ~scalar ~len =
   scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
@@ -135,22 +108,23 @@ let mins ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~scalar ~len () 
     ~scalar ~len
 
 let exp ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
-  scalar_map "exp" Stdlib.exp ctx ~vec ~src ~src_off ~dst ~dst_off ~len
-
-let fun_of_cmp = function
-  | Eq -> ( = )
-  | Ne -> ( <> )
-  | Lt -> ( < )
-  | Le -> ( <= )
-  | Gt -> ( > )
-  | Ge -> ( >= )
+  scalar_prologue "exp" ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map1_f Stdlib.exp
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
+  end
 
 let compare_scalar ctx ?(vec = 0) cmp ~src ?(src_off = 0) ~dst ?(dst_off = 0)
     ~scalar ~len () =
-  let test = fun_of_cmp cmp in
-  scalar_map "compare_scalar"
-    (fun v -> if test (Float.compare v scalar) 0 then 1.0 else 0.0)
-    ctx ~vec ~src ~src_off ~dst ~dst_off ~len
+  scalar_prologue "compare_scalar" ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.compare_scalar cmp
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~scalar ~len
+  end
 
 let compare ctx ?(vec = 0) cmp ~src0 ~src1 ~dst ~len () =
   require_ub "compare" src0;
@@ -161,10 +135,13 @@ let compare ctx ?(vec = 0) cmp ~src0 ~src1 ~dst ~len () =
   check_range ctx "compare" dst 0 len;
   tick ctx "vcompare";
   charge_op ctx ~vec ~op:"vcompare" ~instrs:1 ~len ~esize:(esize src0);
-  let test = fun_of_cmp cmp in
-  map2 ctx
-    (fun a b -> if test (Float.compare a b) 0 then 1.0 else 0.0)
-    ~src0 ~src0_off:0 ~src1 ~src1_off:0 ~dst ~dst_off:0 ~len
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.compare cmp
+      ~src0:(Local_tensor.buffer src0) ~src0_off:0
+      ~src1:(Local_tensor.buffer src1) ~src1_off:0
+      ~dst:(Local_tensor.buffer dst) ~dst_off:0 ~len
+  end
 
 let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
     ?(src1_off = 0) ~src1 ?(dst_off = 0) ~dst ~len () =
@@ -187,52 +164,51 @@ let select ctx ?(vec = 0) ?(mask_off = 0) ~mask ?(src0_off = 0) ~src0
       ~dst:(Local_tensor.buffer dst) ~dst_off ~len
   end
 
-(* Bit-wise ops view each element as the unsigned field of its dtype. *)
-let unsigned_field dt v =
-  let bits = Dtype.size_bytes dt * 8 in
-  let m = 1 lsl bits in
-  ((int_of_float v) mod m + m) mod m
-
 let require_integer what lt =
   if not (Dtype.is_integer (Local_tensor.dtype lt)) then
     invalid_arg
       (Printf.sprintf "Vec.%s: bit-wise ops require an integer data type" what)
 
-let bit_map name f ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
+(* Bit-wise ops view each element as the unsigned field of its dtype
+   (see {!Host_buffer.map1_bits}). *)
+let bit_map name op ~arg ctx ~vec ~src ~src_off ~dst ~dst_off ~len =
   require_integer name src;
   require_integer name dst;
-  let sdt = Local_tensor.dtype src in
-  scalar_map name
-    (fun v -> float_of_int (f (unsigned_field sdt v)))
-    ctx ~vec ~src ~src_off ~dst ~dst_off ~len
+  scalar_prologue name ctx ~vec ~src ~src_off ~dst ~dst_off ~len;
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    Host_buffer.map1_bits op
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~arg ~len
+  end
 
 let shift_right ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~bits
     ~len () =
-  bit_map "shift_right" (fun u -> u lsr bits) ctx ~vec ~src ~src_off ~dst
+  bit_map "shift_right" Host_buffer.Shr ~arg:bits ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let shift_left ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~bits
     ~len () =
-  bit_map "shift_left" (fun u -> u lsl bits) ctx ~vec ~src ~src_off ~dst
+  bit_map "shift_left" Host_buffer.Shl ~arg:bits ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_ands ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_ands" (fun u -> u land mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_ands" Host_buffer.And ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_ors ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_ors" (fun u -> u lor mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_ors" Host_buffer.Or ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_xors ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~mask ~len () =
-  bit_map "bit_xors" (fun u -> u lxor mask) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_xors" Host_buffer.Xor ~arg:mask ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 let bit_not ctx ?(vec = 0) ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   require_integer "bit_not" src;
   let bits = Dtype.size_bytes (Local_tensor.dtype src) * 8 in
   let full = (1 lsl bits) - 1 in
-  bit_map "bit_not" (fun u -> u lxor full) ctx ~vec ~src ~src_off ~dst
+  bit_map "bit_not" Host_buffer.Xor ~arg:full ctx ~vec ~src ~src_off ~dst
     ~dst_off ~len
 
 type bitop = And | Or | Xor
@@ -250,15 +226,19 @@ let bit_op ctx ?(vec = 0) op ~src0 ?(src0_off = 0) ~src1 ?(src1_off = 0) ~dst
   check_range ctx "bit_op" dst dst_off len;
   tick ctx "vbitop";
   charge_op ctx ~vec ~op:"vbitop" ~instrs:1 ~len ~esize:(esize dst);
-  let f = match op with
-    | And -> ( land )
-    | Or -> ( lor )
-    | Xor -> ( lxor )
-  in
-  let d0 = Local_tensor.dtype src0 and d1 = Local_tensor.dtype src1 in
-  map2 ctx
-    (fun a b -> float_of_int (f (unsigned_field d0 a) (unsigned_field d1 b)))
-    ~src0 ~src0_off ~src1 ~src1_off ~dst ~dst_off ~len
+  if Block.functional ctx then begin
+    Local_tensor.touch dst;
+    let op =
+      match op with
+      | And -> Host_buffer.And
+      | Or -> Host_buffer.Or
+      | Xor -> Host_buffer.Xor
+    in
+    Host_buffer.map2_bits op
+      ~src0:(Local_tensor.buffer src0) ~src0_off
+      ~src1:(Local_tensor.buffer src1) ~src1_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
+  end
 
 let arange ctx ?(vec = 0) ~dst ?(dst_off = 0) ~start ~len () =
   require_ub "arange" dst;
@@ -388,18 +368,11 @@ let gather_mask ctx ?(vec = 0) ~src ?(src_off = 0) ~mask ?(mask_off = 0) ~dst
   charge_op ctx ~vec ~op:"gather_mask" ~instrs:2 ~len ~esize:(esize src);
   charge_scalar ctx ~vec ~op:"gather_mask";
   if Block.functional ctx then begin
-    let sb = Local_tensor.buffer src
-    and mb = Local_tensor.buffer mask
-    and db = Local_tensor.buffer dst in
     Local_tensor.touch dst;
-    let k = ref 0 in
-    for i = 0 to len - 1 do
-      if Host_buffer.get mb (mask_off + i) <> 0.0 then begin
-        Host_buffer.set db (dst_off + !k) (Host_buffer.get sb (src_off + i));
-        incr k
-      end
-    done;
-    !k
+    Host_buffer.compress
+      ~src:(Local_tensor.buffer src) ~src_off
+      ~mask:(Local_tensor.buffer mask) ~mask_off
+      ~dst:(Local_tensor.buffer dst) ~dst_off ~len
   end
   else 0
 
@@ -413,17 +386,9 @@ let gather_elements ctx ?(vec = 0) ~src ~idx ~dst ~len () =
   tick ctx "gather";
   charge_op ctx ~vec ~op:"gather" ~instrs:2 ~len ~esize:(esize dst);
   if Block.functional ctx then begin
-    let sb = Local_tensor.buffer src
-    and ib = Local_tensor.buffer idx
-    and db = Local_tensor.buffer dst in
     Local_tensor.touch dst;
-    for i = 0 to len - 1 do
-      let j = int_of_float (Host_buffer.get ib i) in
-      if j < 0 || j >= Local_tensor.length src then
-        invalid_arg
-          (Printf.sprintf "Vec.gather_elements: index %d out of range" j);
-      Host_buffer.set db i (Host_buffer.get sb j)
-    done
+    Host_buffer.gather ~src:(Local_tensor.buffer src)
+      ~idx:(Local_tensor.buffer idx) ~dst:(Local_tensor.buffer dst) ~len
   end
 
 let get ctx ?(vec = 0) lt i =
@@ -456,12 +421,12 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
   if s <= 0 then invalid_arg "Vec.scan_rows: s must be positive";
   if len = 0 then init
   else begin
-    let name, hop =
+    let name =
       match op with
-      | Add -> "adds", Host_buffer.Add
-      | Mul -> "muls", Host_buffer.Mul
-      | Max -> "maxs", Host_buffer.Max
-      | Min -> "mins", Host_buffer.Min
+      | Add -> "adds"
+      | Mul -> "muls"
+      | Max -> "maxs"
+      | Min -> "mins"
       | Sub -> invalid_arg "Vec.scan_rows: Sub has no tensor-scalar form"
     in
     let cm = Block.cost ctx in
@@ -484,7 +449,7 @@ let scan_rows ctx ?(vec = 0) ~op ~buf ~len ~s ~init () =
     end;
     if Block.functional ctx then begin
       Local_tensor.touch buf;
-      Host_buffer.scan_segment hop (Local_tensor.buffer buf) ~off:0 ~len
+      Host_buffer.scan_segment op (Local_tensor.buffer buf) ~off:0 ~len
         ~seg:s ~init
     end
     else

@@ -11,9 +11,9 @@
     ops return [0.] / [0] and callers must not branch on them (the
     kernels document the analytic expectations they substitute). *)
 
-type binop = Add | Sub | Mul | Max | Min
+type binop = Host_buffer.binop = Add | Sub | Mul | Max | Min
 
-type cmp = Eq | Ne | Lt | Le | Gt | Ge
+type cmp = Host_buffer.cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 (** {2 Element-wise, tensor-tensor} *)
 

@@ -14,9 +14,10 @@ let clone device x =
   let body ctx =
     let i = Block.idx ctx in
     let schedule = Scan.Scan_core.current_schedule () in
+    let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span:vchunk in
     let ubs =
       Array.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile))
+          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
     in
     for v = 0 to vpc - 1 do
       let lo = ((i * vpc) + v) * vchunk in
@@ -99,16 +100,12 @@ let bitonic_global_stage ~x ~n ~k ~d ~tile ctx =
   (* The low/high operand tiles are staged ahead under the pipeline
      walker, so they ping-pong; min/max results are consumed by the
      synchronous stores in the same item. *)
-  let lo_t =
-    Array.init vpc (fun v ->
-        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt tile))
-  in
-  let hi_t =
-    Array.init vpc (fun v ->
-        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt tile))
-  in
-  let mn_t = Array.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) dt tile) in
-  let mx_t = Array.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) dt tile) in
+  let ub_n = Scan.Kernel_util.fit_tile ~tile ~span:n in
+  let ub v = Block.alloc ctx (Mem_kind.Ub v) dt ub_n in
+  let lo_t = Array.init vpc (fun v -> Array.init 2 (fun _ -> ub v)) in
+  let hi_t = Array.init vpc (fun v -> Array.init 2 (fun _ -> ub v)) in
+  let mn_t = Array.init vpc ub in
+  let mx_t = Array.init vpc ub in
   let items = ref [] in
   let seg = ref 0 in
   while !seg < n do
@@ -191,9 +188,10 @@ let bitonic_fused_stage ~x ~n ~k ~tile ctx =
   let vpc = (Block.cost ctx).Cost_model.vec_per_core in
   let dt = Global_tensor.dtype x in
   let schedule = Scan.Scan_core.current_schedule () in
+  let ub_n = Scan.Kernel_util.fit_tile ~tile ~span:n in
   let tiles =
     Array.init vpc (fun v ->
-        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt tile))
+        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
   in
   let ntiles = (n + tile - 1) / tile in
   let mine = ref [] in
@@ -319,9 +317,10 @@ let topk device x ~k =
   let phase1 ctx =
     let i = Block.idx ctx in
     let schedule = Scan.Scan_core.current_schedule () in
+    let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span:vchunk in
     let tiles =
       Array.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile))
+          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
     in
     let accs = Array.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) dt (2 * k)) in
     for v = 0 to vpc - 1 do

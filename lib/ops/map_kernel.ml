@@ -16,7 +16,8 @@ let run ?(name = "map") ?(scratch = []) device ~inputs ~output ~f =
   let body ctx =
     let i = Block.idx ctx in
     let schedule = Scan.Scan_core.current_schedule () in
-    let alloc v dt = Block.alloc ctx (Mem_kind.Ub v) dt tile_elems in
+    let ub_n = Scan.Kernel_util.fit_tile ~tile:tile_elems ~span:vchunk in
+    let alloc v dt = Block.alloc ctx (Mem_kind.Ub v) dt ub_n in
     (* Input tiles ping-pong under the walker; the output and scratch
        tiles are produced and stored within one item, so one of each
        suffices. *)

@@ -8,10 +8,8 @@ let bitcast_f16_to_u16 device x =
     Device.alloc device Dtype.U16 n ~name:(Global_tensor.name x ^ "_bits")
   in
   if Device.functional device then
-    for i = 0 to n - 1 do
-      Global_tensor.set u i
-        (float_of_int (Fp16.of_float (Global_tensor.get x i)))
-    done;
+    Host_buffer.bitcast_f16_to_u16 ~src:(Global_tensor.buffer x)
+      ~dst:(Global_tensor.buffer u);
   u
 
 let bitcast_u16_to_f16 device u =
@@ -22,10 +20,8 @@ let bitcast_u16_to_f16 device u =
     Device.alloc device Dtype.F16 n ~name:(Global_tensor.name u ^ "_vals")
   in
   if Device.functional device then
-    for i = 0 to n - 1 do
-      Global_tensor.set x i
-        (Fp16.to_float (int_of_float (Global_tensor.get u i)))
-    done;
+    Host_buffer.bitcast_u16_to_f16 ~src:(Global_tensor.buffer u)
+      ~dst:(Global_tensor.buffer x);
   x
 
 let read_scalar gt i ~default =
@@ -46,9 +42,10 @@ let slice device gt ~off ~len =
   let body ctx =
     let i = Block.idx ctx in
     let schedule = Scan.Scan_core.current_schedule () in
+    let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span:vchunk in
     let ubs =
       Array.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile))
+          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
     in
     for v = 0 to vpc - 1 do
       let vlo = ((i * vpc) + v) * vchunk in
@@ -86,9 +83,10 @@ let blit device ~src ?(src_off = 0) ~dst ?(dst_off = 0) ~len () =
   let body ctx =
     let i = Block.idx ctx in
     let schedule = Scan.Scan_core.current_schedule () in
+    let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span:vchunk in
     let ubs =
       Array.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile))
+          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
     in
     for v = 0 to vpc - 1 do
       let vlo = ((i * vpc) + v) * vchunk in

@@ -93,11 +93,17 @@ let run ?(s = 128) ?(with_indices = false) ?(descending = false) ?(bits = 16)
   let all_stats = ref [] in
   let note st = all_stats := st :: !all_stats in
   (* Bitcast to u16 patterns (zero cost) and encode when needed. *)
+  (* Every intermediate key, index and flag tensor is retired as soon as
+     the next pass has consumed it, so its storage is reused instead of
+     left to the GC; the caller's [x] ([keys0 == x] for ascending u16
+     keys) is never retired. *)
+  let retire_intermediate t = if t != x then Global_tensor.retire t in
   let keys0 = if is_float then Ops_util.bitcast_f16_to_u16 device x else x in
   let keys0 =
     if is_float || descending then begin
       let k, st = encode_pass device ~is_float ~descending keys0 in
       note st;
+      retire_intermediate keys0;
       k
     end
     else keys0
@@ -112,21 +118,27 @@ let run ?(s = 128) ?(with_indices = false) ?(descending = false) ?(bits = 16)
       Split.run ~s ~with_indices ?indices_in:!idx device ~x:!keys ~flags ()
     in
     note r.Split.stats;
+    Global_tensor.retire flags;
+    retire_intermediate !keys;
+    Option.iter Global_tensor.retire !idx;
     keys := r.Split.values;
     idx := r.Split.indices
   done;
   (* Post-processing: decode back to the original key domain. *)
+  let decode () =
+    let dec, st = decode_pass device ~is_float ~descending !keys in
+    note st;
+    retire_intermediate !keys;
+    dec
+  in
   let values =
     if is_float then begin
-      let dec, st = decode_pass device ~is_float ~descending !keys in
-      note st;
-      Ops_util.bitcast_u16_to_f16 device dec
+      let dec = decode () in
+      let v = Ops_util.bitcast_u16_to_f16 device dec in
+      Global_tensor.retire dec;
+      v
     end
-    else if descending then begin
-      let dec, st = decode_pass device ~is_float ~descending !keys in
-      note st;
-      dec
-    end
+    else if descending then decode ()
     else !keys
   in
   {

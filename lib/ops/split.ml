@@ -23,8 +23,9 @@ type bufs = {
   gi : Local_tensor.t option;
 }
 
-let alloc_bufs ctx ~v ~xdt ~with_indices =
-  let ub k dt = Block.alloc ctx (Mem_kind.Ub k) dt ub_tile in
+let alloc_bufs ctx ~v ~xdt ~with_indices ~span =
+  let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span in
+  let ub k dt = Block.alloc ctx (Mem_kind.Ub k) dt ub_n in
   let ub2 k dt = Array.init 2 (fun _ -> ub k dt) in
   {
     xt = ub2 v xdt;
@@ -171,7 +172,9 @@ let run ?(s = 128) ?(expected_density = 0.5) ?(with_indices = false)
     | None -> ());
     let xdt = Global_tensor.dtype x in
     let schedule = Scan.Scan_core.current_schedule () in
-    let bufs = Array.init vpc (fun v -> alloc_bufs ctx ~v ~xdt ~with_indices) in
+    let bufs =
+      Array.init vpc (fun v -> alloc_bufs ctx ~v ~xdt ~with_indices ~span:vchunk)
+    in
     (* Each vector core walks its sub-block under the pipeline walker:
        the next tile's x/flags loads overlap the current tile's
        GatherMask compactions and scatter stores. *)
@@ -192,6 +195,8 @@ let run ?(s = 128) ?(expected_density = 0.5) ?(with_indices = false)
     done
   in
   let gather_stats = Launch.run ~name:"split_gather" device ~blocks body in
+  (* The exclusive scan is dead once the gather has consumed it. *)
+  Global_tensor.retire e;
   {
     values = z;
     indices = zi;

@@ -66,10 +66,11 @@ let sample_many ?(s = 128) device ~weights ~thetas =
   let body ctx =
     if Block.idx ctx = 0 then begin
       let schedule = Scan.Scan_core.current_schedule () in
+      let ub_n = Scan.Kernel_util.fit_tile ~tile:ub_tile ~span:n in
       let ub =
-        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 ub_tile)
+        Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 ub_n)
       in
-      let mask = Block.alloc ctx (Mem_kind.Ub 0) Dtype.I8 ub_tile in
+      let mask = Block.alloc ctx (Mem_kind.Ub 0) Dtype.I8 ub_n in
       let next = ref 0 in
       let ntiles = Scan.Kernel_util.ceil_div n ub_tile in
       Scan.Scan_core.pipeline_tiles ctx ~schedule

@@ -62,11 +62,15 @@ let run_u ?(s = 128) ?rows ?y device ~batch ~len x =
     in
     if mine <> [] then begin
       let schedule = Scan_core.current_schedule () in
+      (* An item holds at most one row of [len], in whole rows of [s]. *)
+      let tile_n =
+        Kernel_util.fit_tile ~tile ~span:(Kernel_util.round_up len s)
+      in
       let l0a =
-        Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a Dtype.F16 tile)
+        Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a Dtype.F16 tile_n)
       in
       let l0c =
-        Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c Dtype.F32 tile)
+        Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c Dtype.F32 tile_n)
       in
       let u =
         Scan_core.load_cube_encoding
@@ -74,7 +78,7 @@ let run_u ?(s = 128) ?rows ?y device ~batch ~len x =
           ctx ~engine:Engine.Cube_mte_in ~kind:Mem_kind.L0b ~dtype:Dtype.F16 ~s
       in
       let ubs =
-        List.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) Dtype.F16 tile)
+        List.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) Dtype.F16 tile_n)
       in
       (* Flatten the (pair, tile, row) nest into one item stream so the
          cube pipeline double-buffers straight across row and pair
@@ -144,7 +148,10 @@ let run_ul1 ?(s = 128) ?rows ?y device ~batch ~len x =
     if mine <> [] then begin
       let schedule = Scan_core.current_schedule () in
       let bufs = Scan_ul1.alloc_bufs ctx ~s in
-      let ub = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 tile in
+      let ub =
+        Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16
+          (Kernel_util.fit_tile ~tile ~span:len)
+      in
       (* One flat item stream over (row, tile) so the L0A/C2 ping-pong
          slots stay full across row boundaries. *)
       let items =

@@ -198,7 +198,8 @@ let run ?s ?schedule ?shards ?local pod x =
             let schedule = Scan_core.current_schedule () in
             let ub =
               Array.init 2 (fun _ ->
-                  Block.alloc ctx (Mem_kind.Ub 0) dt (min tile len))
+                  Block.alloc ctx (Mem_kind.Ub 0) dt
+                    (Kernel_util.fit_tile ~tile ~span:len))
             in
             Scan_core.pipeline_tiles ctx ~schedule
               ~in_engine:(Engine.Vec_mte_in 0) ~tile ~n:len

@@ -2,6 +2,7 @@ open Ascend
 
 let ceil_div a b = (a + b - 1) / b
 let round_up a m = ceil_div a m * m
+let fit_tile ~tile ~span = max 1 (min tile span)
 
 let hillis_steele_tile ctx ~vec ~op ~buf ~tmp ~len =
   let d = ref 1 in

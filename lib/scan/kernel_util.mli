@@ -55,3 +55,12 @@ val ceil_div : int -> int -> int
 
 val round_up : int -> int -> int
 (** Smallest multiple of [m] that is [>= a]. *)
+
+val fit_tile : tile:int -> span:int -> int
+(** [max 1 (min tile span)]: the element count of a scratch tile that
+    serves at most [span] elements per use, e.g. one vector core's
+    sub-block. Kernels keep [tile] as their copy granularity (a span
+    shorter than [tile] is one tile either way) and allocate only
+    [fit_tile]: {!Ascend.Host_buffer.create} zero-fills every element,
+    and allocation size never enters a charge, so cycles, op counts and
+    trace spans are unchanged. *)

@@ -2,12 +2,6 @@ open Ascend
 
 let ub_tile_elems = 16384
 
-(* UB staging tiles never hold more than one vector core's sub-block
-   ([half] elements), so cap the allocation accordingly. The copy
-   granularity — and with it every charge — is unchanged: a sub-block
-   range fits in one tile either way. *)
-let ub_elems ~half = max 1 (min ub_tile_elems half)
-
 (* Phase I: cube computes tile-local scans into [loc]; vector cores
    re-read the input and write per-vector-sub-block sums into [r].
    The cube walker is the full 3-stage pipeline (ping-pong L0A loads,
@@ -23,21 +17,22 @@ let phase1 ~x ~loc ~r ~s ~chunk ~half ~n ~in_dt ctx =
   let blen = hi - lo in
   if blen > 0 then begin
     let schedule = Scan_core.current_schedule () in
+    let l0_n = Kernel_util.fit_tile ~tile ~span:(Kernel_util.round_up blen s) in
     let l0a =
-      Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a in_dt tile)
+      Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a in_dt l0_n)
     in
     let acc_dt =
       match in_dt with Dtype.I8 -> Dtype.I32 | _ -> Dtype.F32
     in
     let l0c =
-      Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c acc_dt tile)
+      Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c acc_dt l0_n)
     in
     let u =
       Scan_core.load_cube_encoding
         (module Scan_op.Sum)
         ctx ~engine:Engine.Cube_mte_in ~kind:Mem_kind.L0b ~dtype:in_dt ~s
     in
-    let ub_n = ub_elems ~half in
+    let ub_n = Kernel_util.fit_tile ~tile:ub_tile_elems ~span:half in
     let ubs =
       List.init vpc (fun v ->
           Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) in_dt ub_n))
@@ -96,7 +91,7 @@ let phase2 ~loc ~y ~r ~s ~chunk ~half ~n ~out_dt ~exclusive ctx =
       List.init vpc (fun v ->
           Block.alloc ctx (Mem_kind.Ub v) (Global_tensor.dtype r) rlen)
     in
-    let ub_n = ub_elems ~half in
+    let ub_n = Kernel_util.fit_tile ~tile:ub_tile_elems ~span:half in
     let ubs =
       List.init vpc (fun v ->
           Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) out_dt ub_n))

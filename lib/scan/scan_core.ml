@@ -195,9 +195,11 @@ let vec_phase1 (module Op : Scan_op.S) ~x ~r ~chunk ~half ~n ~dt ctx =
   let hi = min n (lo + chunk) in
   if hi > lo then begin
     let schedule = !default_schedule in
+    (* Every sub-block of this block spans at most [min half (hi - lo)]. *)
+    let ub_n = Kernel_util.fit_tile ~tile:ub_tile ~span:(min half (hi - lo)) in
     let ubs =
       List.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile))
+          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n))
     in
     let stage =
       List.init vpc (fun v -> Block.alloc ctx (Mem_kind.Ub v) dt 16)
@@ -236,10 +238,11 @@ let vec_phase2 (module Op : Scan_op.S) ~x ~y ~r ~chunk ~half ~n ~dt ctx =
   if hi > lo then begin
     let rlen = Global_tensor.length r in
     let schedule = !default_schedule in
+    let ub_n = Kernel_util.fit_tile ~tile:ub_tile ~span:(min half (hi - lo)) in
     let bufs =
       List.init vpc (fun v ->
-          ( Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_tile),
-            Block.alloc ctx (Mem_kind.Ub v) dt ub_tile,
+          ( Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) dt ub_n),
+            Block.alloc ctx (Mem_kind.Ub v) dt ub_n,
             Block.alloc ctx (Mem_kind.Ub v) (Global_tensor.dtype r) rlen ))
     in
     List.iteri

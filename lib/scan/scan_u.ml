@@ -18,9 +18,10 @@ let run ?(s = 128) ?(no_pipeline = false) device x =
        and two f32 accumulators take half of L0C, so copy-in of tile
        [t+1], the mmad of tile [t] and copy-out of tile [t-1] all
        overlap — the 3-stage pipeline of the paper's ScanU. *)
-    let l0a = Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a Dtype.F16 tile) in
-    let l0c = Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c Dtype.F32 tile) in
-    let ub = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 tile in
+    let tile_n = Kernel_util.fit_tile ~tile ~span:(Kernel_util.round_up n s) in
+    let l0a = Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0a Dtype.F16 tile_n) in
+    let l0c = Array.init 2 (fun _ -> Block.alloc ctx Mem_kind.L0c Dtype.F32 tile_n) in
+    let ub = Block.alloc ctx (Mem_kind.Ub 0) Dtype.F16 tile_n in
     let u =
       Scan_core.load_cube_encoding
         (module Scan_op.Sum)

@@ -20,8 +20,10 @@ let run ?(rows = 128) ?(cols = 128) device x =
   let tile = rows * cols in
   let body ctx =
     let schedule = Scan_core.current_schedule () in
-    let ub_in = Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub 0) dt tile) in
-    let ub_out = Block.alloc ctx (Mem_kind.Ub 0) dt tile in
+    (* A tile's CumSum covers whole rows of [cols]. *)
+    let ub_n = Kernel_util.fit_tile ~tile ~span:(Kernel_util.round_up n cols) in
+    let ub_in = Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub 0) dt ub_n) in
+    let ub_out = Block.alloc ctx (Mem_kind.Ub 0) dt ub_n in
     let partial = ref (Scan_op.Sum.identity dt) in
     Scan_core.pipeline_tiles ctx ~schedule ~in_engine:(Engine.Vec_mte_in 0)
       ~tile ~n

@@ -51,7 +51,9 @@ let phase_add ~y ~scanned_t ~s ~n ctx =
     let schedule = Scan_core.current_schedule () in
     let ubs =
       List.init vpc (fun v ->
-          Array.init 2 (fun _ -> Block.alloc ctx (Mem_kind.Ub v) Dtype.F16 tile))
+          Array.init 2 (fun _ ->
+              Block.alloc ctx (Mem_kind.Ub v) Dtype.F16
+                (Kernel_util.fit_tile ~tile ~span:n)))
     in
     let carries =
       List.init vpc (fun v ->

@@ -87,6 +87,44 @@ let prop_integer_in_range =
       let r = Dtype.round dt v in
       r >= Dtype.min_value dt && r <= Dtype.max_value dt && Float.is_integer r)
 
+(* The historical integer wrap, [mod]-based, kept here as the oracle of
+   the shift/mask form {!Dtype.round} now uses. *)
+let mod_wrap dt v =
+  let bits = Dtype.size_bytes dt * 8 in
+  let m = 1 lsl bits in
+  let x = ((int_of_float v mod m) + m) mod m in
+  match dt with
+  | Dtype.U16 -> float_of_int x
+  | _ -> if x >= m / 2 then float_of_int (x - m) else float_of_int x
+
+let int_dtypes = [ Dtype.I8; Dtype.I16; Dtype.U16; Dtype.I32 ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_wrap_exhaustive () =
+  List.iter
+    (fun dt ->
+      for i = -(1 lsl 17) to 1 lsl 17 do
+        let v = float_of_int i in
+        if not (same_bits (Dtype.round dt v) (mod_wrap dt v)) then
+          Alcotest.failf "%s: wrap of %d differs" (Dtype.to_string dt) i
+      done)
+    int_dtypes
+
+let prop_wrap_random_62bit =
+  QCheck.Test.make ~name:"shift/mask wrap = mod wrap on 62-bit ints"
+    ~count:2000
+    QCheck.(pair (int_bound 3) int)
+    (fun (di, i) ->
+      let dt = List.nth int_dtypes di in
+      (* Through float, as every stored value is: beyond 2^53 the
+         conversion rounds, identically on both sides. *)
+      let v = float_of_int i in
+      same_bits (Dtype.round dt v) (mod_wrap dt v)
+      && same_bits
+           (Dtype.cast ~from:Dtype.F32 ~into:dt v)
+           (mod_wrap dt (Float.of_int (int_of_float v))))
+
 let () =
   Alcotest.run "dtype"
     [
@@ -96,11 +134,13 @@ let () =
           Alcotest.test_case "is_integer" `Quick test_is_integer;
           Alcotest.test_case "float rounding" `Quick test_round_floats;
           Alcotest.test_case "integer wrap" `Quick test_round_integers;
+          Alcotest.test_case "shift/mask wrap = mod wrap, +-2^17" `Quick
+            test_wrap_exhaustive;
           Alcotest.test_case "min/max" `Quick test_min_max;
           Alcotest.test_case "cast" `Quick test_cast;
           Alcotest.test_case "equal/strings" `Quick test_equal_and_strings;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_round_idempotent; prop_integer_in_range ] );
+          [ prop_round_idempotent; prop_integer_in_range; prop_wrap_random_62bit ] );
     ]

@@ -181,6 +181,48 @@ let test_pass_count_in_stats () =
     (16 * 4 + 2)
     (List.length r.Ops.Radix_sort.stats.Stats.phases)
 
+(* Fill every pooled payload of length [n] with junk: a tensor the
+   sort retired while still live would be overwritten here. *)
+let scribble dev n =
+  for _ = 1 to 8 do
+    Global_tensor.fill (Device.alloc dev Dtype.U16 n ~name:"junk") 7.0
+  done
+
+(* n = 1 and n below one tile per vector core (most cores get one
+   element or none), ascending u16 (where the first pass splits the
+   caller's own tensor) and descending f16, with indices. *)
+let test_small_n_keeps_input () =
+  List.iter
+    (fun n ->
+      let dev = Device.create () in
+      let data = Array.init n (fun i -> float_of_int (((i * 40503) + 17) land 0xFFFF)) in
+      let x = Device.of_array dev Dtype.U16 ~name:"x" data in
+      let r = Ops.Radix_sort.run ~with_indices:true dev x in
+      scribble dev n;
+      let expect, expect_idx = Scan.Reference.stable_sort_with_indices data in
+      let gi = Option.get r.Ops.Radix_sort.indices in
+      for i = 0 to n - 1 do
+        if Global_tensor.get x i <> data.(i) then
+          Alcotest.failf "n=%d: input key %d overwritten" n i;
+        if Global_tensor.get r.Ops.Radix_sort.values i <> expect.(i)
+           || int_of_float (Global_tensor.get gi i) <> expect_idx.(i)
+        then Alcotest.failf "n=%d: u16 mismatch at %d" n i
+      done;
+      let fdata = Workload.Generators.uniform_f16 ~seed:n ~lo:(-4.0) ~hi:4.0 n in
+      let fx = Device.of_array dev Dtype.F16 ~name:"fx" fdata in
+      let fr = Ops.Radix_sort.run ~descending:true ~with_indices:true dev fx in
+      scribble dev n;
+      sorted_check ~descending:true fr.Ops.Radix_sort.values n;
+      let fgi = Option.get fr.Ops.Radix_sort.indices in
+      for i = 0 to n - 1 do
+        if Global_tensor.get fx i <> fdata.(i) then
+          Alcotest.failf "n=%d: f16 input %d overwritten" n i;
+        let j = int_of_float (Global_tensor.get fgi i) in
+        if fdata.(j) <> Global_tensor.get fr.Ops.Radix_sort.values i then
+          Alcotest.failf "n=%d: f16 index does not map back at %d" n i
+      done)
+    [ 1; 37; 100 ]
+
 let () =
   Alcotest.run "radix"
     [
@@ -200,6 +242,8 @@ let () =
           Alcotest.test_case "descending" `Quick test_sort_descending;
           Alcotest.test_case "u16" `Quick test_sort_u16;
           Alcotest.test_case "u16 low bits" `Quick test_sort_u16_low_bits;
+          Alcotest.test_case "small n, input intact" `Quick
+            test_small_n_keeps_input;
           Alcotest.test_case "matches bitonic" `Quick
             test_matches_baseline_sort;
           Alcotest.test_case "validation" `Quick test_validation;

@@ -159,6 +159,37 @@ let test_split_traffic () =
   check_bool "reads" true (st.Stats.gm_read_bytes >= 3 * n);
   check_bool "writes" true (st.Stats.gm_write_bytes >= 2 * n)
 
+(* n = 1 and n below one tile per vector core, for every 16-bit key
+   dtype. Split retires its exclusive scan after the gather; fresh
+   allocations of the same length then reuse that storage, and must not
+   disturb the inputs or the results. *)
+let test_small_n_scan_retired () =
+  List.iter
+    (fun (dt, n) ->
+      let dev = Device.create () in
+      let data =
+        Array.init n (fun i ->
+            match dt with
+            | Dtype.F16 -> float_of_int (i mod 50) /. 8.0
+            | Dtype.I16 -> float_of_int (((i * 977) mod 60000) - 30000)
+            | _ -> float_of_int ((i * 40503) land 0xFFFF))
+      in
+      let flags = Workload.Generators.ones_and_zeros ~seed:n ~density:0.4 n in
+      let x = Device.of_array dev dt ~name:"x" data in
+      let f = Device.of_array dev Dtype.I8 ~name:"f" flags in
+      let r = Ops.Split.run ~with_indices:true dev ~x ~flags:f () in
+      for _ = 1 to 8 do
+        Global_tensor.fill (Device.alloc dev Dtype.I32 n ~name:"junk") (-3.0)
+      done;
+      for i = 0 to n - 1 do
+        if Global_tensor.get x i <> data.(i) || Global_tensor.get f i <> flags.(i)
+        then Alcotest.failf "%s n=%d: input %d overwritten" (Dtype.to_string dt) n i
+      done;
+      check_split_result ~data ~flags r ~with_indices:true)
+    (List.concat_map
+       (fun dt -> List.map (fun n -> (dt, n)) [ 1; 37; 100 ])
+       [ Dtype.F16; Dtype.I16; Dtype.U16 ])
+
 let () =
   Alcotest.run "split_compress"
     [
@@ -186,6 +217,8 @@ let () =
           Alcotest.test_case "emit_falses off" `Quick test_emit_falses_off;
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "traffic" `Quick test_split_traffic;
+          Alcotest.test_case "small n, scan retired" `Quick
+            test_small_n_scan_retired;
         ] );
       ( "compress",
         [
